@@ -12,7 +12,7 @@ def test_drop_policy_cost(benchmark, spark, khop_wl, policy):
     def work():
         for b in khop_wl.batches:
             eng.apply_batch(b)
-        eng.final_states()  # force recomputation of dropped differences
+        eng.final_states()  # reads dropped differences back; not counted in n_recomputed
         return eng.drops.n_recomputed
 
     try:

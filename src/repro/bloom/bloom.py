@@ -19,10 +19,8 @@ import math
 
 import numpy as np
 
+
 # 64-bit mix (splitmix64 finalizer) — cheap, well-distributed, dependency-free.
-_MASK = (1 << 64) - 1
-
-
 def _mix(x: np.ndarray) -> np.ndarray:
     x = x.astype(np.uint64)
     with np.errstate(over="ignore"):
@@ -38,14 +36,19 @@ def encode_vt(vertex: np.ndarray | int, iteration: np.ndarray | int, qid: np.nda
     Mirrors Appendix C: "constructed by concatenating vertex-id and
     iteration number together using binary operations". We reserve 16 bits
     for the query id, 32 for the vertex and 16 for the iteration, which
-    covers every scale this reproduction runs at.
+    covers every scale this reproduction runs at. A field outside its width
+    would alias another key, so it raises ``ValueError``.
     """
-    v = np.asarray(vertex, dtype=np.uint64)
-    i = np.asarray(iteration, dtype=np.uint64)
-    q = np.asarray(qid, dtype=np.uint64)
-    return ((q & np.uint64(0xFFFF)) << np.uint64(48)) | (
-        (v & np.uint64(0xFFFFFFFF)) << np.uint64(16)
-    ) | (i & np.uint64(0xFFFF))
+    fields = [
+        (np.asarray(qid), 16, "query id"),
+        (np.asarray(vertex), 32, "vertex"),
+        (np.asarray(iteration), 16, "iteration"),
+    ]
+    for a, bits, name in fields:
+        if a.size and (a.min() < 0 or a.max() >= 1 << bits):
+            raise ValueError(f"{name} outside [0, 2^{bits}): {a.min()}..{a.max()}")
+    q, v, i = (a.astype(np.uint64) for a, _, _ in fields)
+    return (q << np.uint64(48)) | (v << np.uint64(16)) | i
 
 
 class BloomFilter:

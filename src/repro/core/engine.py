@@ -22,10 +22,17 @@ edge deletions maintainable by rerunning. Scheduling rules:
   scheduled at i+1;
 * upper-bound rule — whenever v is scheduled at t it is additionally
   scheduled at every j > t where v has a stored-or-dropped difference at j,
-  and at jj+1 for every in-neighbour difference at jj ≥ t.
+  and at jj+1 for every in-neighbour difference at jj ≥ t;
+* new vertices (WCC/PR) — a vertex first seen in a batch gets its base
+  difference at iteration 0 and is scheduled at 1.
 
 Scheduling may over-approximate (spurious reruns produce empty differences
 and are harmless, Thm 4.1) but never under-approximates.
+
+A batch updates the store in place, with no copy of the old D: iteration i
+writes and deletes only rows at i, and iterations run once each in
+increasing order, so when iteration i runs the store still holds the old
+trace's rows at i, which decide whether its differences changed.
 """
 from __future__ import annotations
 
@@ -123,23 +130,24 @@ class DCJODEngine:
         self.store.set_rows(rows)
 
     # -------------------------------------------------------- state resolution
-    def _states_for(self, keys: pd.DataFrame, t: int) -> pd.DataFrame:
+    def _states_for(self, keys: pd.DataFrame, t: int, count: bool = True) -> pd.DataFrame:
         """States of (qid, v) keys at iteration t; +inf = unreachable.
 
         Without dropping this is a plain store reassembly. With dropping it
         is AccessD_i^vWithDrops (§5.1): find the latest stored g* <= t, ask
         DroppedVT for a dropped d* in (g*, t], and recompute dropped
-        differences (recursively, batched per recursion level, counting
-        recomputations for the Fig. 6b metric).
+        differences (recursively, batched per recursion level). When
+        ``count``, the recomputations go to the Fig. 6b counters, which
+        measure maintenance: output reads pass False.
         """
         keys = keys[["qid", "v"]].drop_duplicates().reset_index(drop=True)
         if self.drops is None:
             look = self.store.latest_leq(keys, t)
             return look[["qid", "v", "val"]]
-        out = self._resolve(keys.assign(t=np.int64(t)), memo={})
+        out = self._resolve(keys.assign(t=np.int64(t)), memo={}, count=count)
         return out[["qid", "v", "val"]]
 
-    def _resolve(self, keys: pd.DataFrame, memo: dict) -> pd.DataFrame:
+    def _resolve(self, keys: pd.DataFrame, memo: dict, count: bool) -> pd.DataFrame:
         """Batched recursive AccessWithDrops; keys have per-row column t."""
         keys = keys.drop_duplicates(subset=["qid", "v", "t"]).reset_index(drop=True)
         look = self.store.latest_leq(keys[["qid", "v", "t"]].assign(t=keys["t"]))
@@ -171,7 +179,8 @@ class DCJODEngine:
         todo = need[~hit_mask].copy()
         if len(todo):
             targets = todo[["qid", "v", "d"]].drop_duplicates().reset_index(drop=True)
-            self.drops.count_recomputations(targets)
+            if count:
+                self.drops.count_recomputations(targets)
             # Demands: in-neighbour states at d*-1 (recursion).
             in_e = self.edges[["src", "dst", "weight"]].merge(
                 targets.rename(columns={"v": "dst"}), on="dst"
@@ -184,7 +193,7 @@ class DCJODEngine:
                 }
             )
             if len(sub):
-                sub_states = self._resolve(sub, memo)
+                sub_states = self._resolve(sub, memo, count)
             else:
                 sub_states = pd.DataFrame({"qid": [], "v": [], "t": [], "val": []})
             # Recompute the aggregation per target at its own d* in Spark.
@@ -278,9 +287,12 @@ class DCJODEngine:
             out = out[out["it"] <= self.spec.max_iters]
         return out[out["it"] >= 1].reset_index(drop=True)
 
-    def _seed_schedule(self, batch: Batch, old_store: DiffStore) -> pd.DataFrame:
+    def _seed_schedule(self, batch: Batch) -> pd.DataFrame:
         """δE direct rule: schedule each changed edge's dst (and, for PR,
-        every out-neighbour of the src, since messages divide by outdeg)."""
+        every out-neighbour of the src, since messages divide by outdeg).
+
+        Reads the live store, after ``_register_new_vertices``: a new
+        source's base difference at iteration 0 schedules its dst at 1."""
         qids = np.asarray(self.spec.qids(), np.int64)
         ch = batch.changes
         pairs = ch[["src", "dst"]].drop_duplicates()
@@ -293,14 +305,14 @@ class DCJODEngine:
         rep = pairs.loc[pairs.index.repeat(len(qids))].reset_index(drop=True)
         rep["qid"] = np.tile(qids, len(pairs))
         ukeys = rep.rename(columns={"src": "v"})[["qid", "v"]].drop_duplicates()
-        uiters = old_store.iters_of(ukeys)
+        uiters = self.store.iters_of(ukeys)
         if self.drops is not None:
             d = self.drops.dropped_iters_after(
                 ukeys.assign(t=np.int64(-1)), max(self.max_it, 1)
             )
             uiters = pd.concat([uiters, d], ignore_index=True).drop_duplicates()
         if not len(uiters):
-            return pd.DataFrame({"qid": [], "v": [], "it": []})
+            return _keyframe([], [], it=np.zeros(0, np.int64))
         sched = uiters.rename(columns={"v": "src", "it": "j"}).merge(
             rep, on=["qid", "src"]
         )
@@ -352,13 +364,12 @@ class DCJODEngine:
         if not len(batch.changes):
             # e.g. an RPQ update whose label the automaton ignores
             return {"batch_s": time.perf_counter() - t0, "n_sched": 0, "n_changed": 0}
-        old_store = self.store.copy()
         self.edges = apply_batch(self.edges, batch)
         self._refresh_graph()
-        self._register_new_vertices(batch)
+        born = self._register_new_vertices(batch)
         self._on_batch_start(batch)
 
-        sched = self._seed_schedule(batch, old_store)
+        sched = pd.concat([self._seed_schedule(batch), born], ignore_index=True)
         sched = self._expand_schedule(sched)
         frontier: dict[int, list[pd.DataFrame]] = {}
         for it, grp in sched.groupby("it"):
@@ -385,8 +396,10 @@ class DCJODEngine:
             # The old trace's difference row at exactly iteration i (if any):
             # propagation is driven by *difference-set modifications*, not by
             # reassembled-value drift (the latter persists to the fixpoint
-            # and would never converge).
-            old_rows = old_store.df
+            # and would never converge). The live store still holds the old
+            # rows at i: only iteration i writes there, iterations run once
+            # each in increasing order, and new vertices are written at 0.
+            old_rows = self.store.df
             old_exact = old_rows[old_rows["it"] == i][["qid", "v", "val"]].rename(
                 columns={"val": "oval"}
             )
@@ -453,26 +466,23 @@ class DCJODEngine:
             "n_changed": n_changed,
         }
 
-    def _register_new_vertices(self, batch: Batch) -> None:
-        """Base differences for vertices first seen in this batch (wcc/pr)."""
-        if not self.spec.base_all:
-            return
-        seen = pd.concat([self.store.df["v"]]).unique() if len(self.store.df) else []
-        vs = np.union1d(
-            batch.changes["src"].unique(), batch.changes["dst"].unique()
-        ).astype(np.int64)
-        new = np.setdiff1d(vs, seen)
-        if not len(new):
-            return
-        val = (
-            new.astype(np.float64)
-            if self.spec.kind == "wcc"
-            else np.full(len(new), 1.0)
-        )
-        rows = pd.DataFrame(
-            {"qid": np.int64(0), "v": new, "it": np.int64(0), "val": val}
-        )
-        self.store.set_rows(rows)  # base rows bypass the drop policy
+    def _register_new_vertices(self, batch: Batch) -> pd.DataFrame:
+        """Base differences for vertices first seen in this batch (wcc/pr).
+
+        Returns their schedule at iteration 1, where a vertex's value is
+        its base plus its in-messages, not its iteration-0 init."""
+        new = np.zeros(0, np.int64)
+        if self.spec.base_all:
+            vs = np.union1d(
+                batch.changes["src"].unique(), batch.changes["dst"].unique()
+            ).astype(np.int64)
+            new = np.setdiff1d(vs, self.store.df["v"].unique())
+        qid = np.zeros(len(new), np.int64)
+        if len(new):
+            val = new.astype(np.float64) if self.spec.kind == "wcc" else np.full(len(new), 1.0)
+            # base rows bypass the drop policy
+            self.store.set_rows(_keyframe(qid, new, it=np.int64(0), val=val))
+        return _keyframe(qid, new, it=np.int64(1))
 
     # ------------------------------------------------------------------ output
     def final_states(self) -> pd.DataFrame:
@@ -483,7 +493,7 @@ class DCJODEngine:
         keys = pd.concat(
             [self.store.df[["qid", "v"]], self.drops.dropped_keys()], ignore_index=True
         ).drop_duplicates()
-        out = self._states_for(keys, t)
+        out = self._states_for(keys, t, count=False)
         return out[np.isfinite(out["val"])].reset_index(drop=True)
 
     def memory_bytes(self) -> dict:

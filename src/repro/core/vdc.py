@@ -1,13 +1,14 @@
 """VDC: vanilla differential computation — JOD's engine *plus* the δJ store.
 
 The defining difference from DC^JOD (§4) is that vanilla DC materializes
-the Join operator's output differences. ``VDCEngine`` therefore maintains a
-second eager-merged difference store, δJ, with one message trace per
-(qid, receiver v, sender w): rows ``(qid, v, it, w, val)`` meaning "the
+the Join operator's output differences. ``VDCEngine`` therefore keeps a
+second eager-merged :class:`repro.core.store.DiffStore`, δJ, keyed by
+(qid, receiver v, sender w): a row ``(qid, v, it, w, val)`` means "the
 message from w to v changed to val at iteration it". Aggregation reruns
-reassemble J from this store (a lookup) instead of re-joining edges with
-neighbour states (what JOD does on demand) — and the store's rows are the
-memory that JOD saves (counted at 24 B each by :mod:`repro.core.memory`).
+reassemble J from this store (a per-receiver ``latest_leq``) instead of
+re-joining edges with neighbour states (what JOD does on demand) — and the
+store's rows are the memory that JOD saves (counted at 24 B each by
+:mod:`repro.core.memory`).
 
 δJ maintenance:
 
@@ -33,27 +34,8 @@ from repro.core import frontier as fr
 from repro.core import static_ife
 from repro.core.engine import DCJODEngine
 from repro.core.specs import INF
+from repro.core.store import DiffStore
 from repro.graphs.updates import Batch
-
-_J_COLS = ["qid", "v", "it", "w", "val"]
-
-
-def _j_frame(df: pd.DataFrame | None = None) -> pd.DataFrame:
-    if df is None or not len(df):
-        return pd.DataFrame(
-            {
-                "qid": pd.Series(dtype=np.int64),
-                "v": pd.Series(dtype=np.int64),
-                "it": pd.Series(dtype=np.int64),
-                "w": pd.Series(dtype=np.int64),
-                "val": pd.Series(dtype=np.float64),
-            }
-        )
-    out = df[_J_COLS].copy()
-    for c in ("qid", "v", "it", "w"):
-        out[c] = out[c].astype(np.int64)
-    out["val"] = out["val"].astype(np.float64)
-    return out.reset_index(drop=True)
 
 
 class VDCEngine(DCJODEngine):
@@ -64,28 +46,22 @@ class VDCEngine(DCJODEngine):
     def __init__(self, spark, spec, initial_edges, drop_manager=None) -> None:
         if drop_manager is not None:
             raise ValueError("partial dropping composes with JOD, not VDC (§5)")
-        self.jstore = _j_frame()
+        self.dj = DiffStore(keys=("qid", "v", "w"))
         super().__init__(spark, spec, initial_edges, None)
+
+    @property
+    def jstore(self) -> pd.DataFrame:
+        """The δJ rows: columns qid, v, it, w, val."""
+        return self.dj.df
 
     # ----------------------------------------------------------- δJ plumbing
     def _j_upsert(self, rows: pd.DataFrame) -> None:
-        if not len(rows):
-            return
-        merged = pd.concat([self.jstore, _j_frame(rows)], ignore_index=True)
-        self.jstore = merged.drop_duplicates(
-            subset=["qid", "v", "it", "w"], keep="last"
-        ).reset_index(drop=True)
+        self.dj.set_rows(rows)
 
     def _j_delete_sender(self, senders: pd.DataFrame, max_it: int | None = None) -> None:
         """Drop all messages from (qid, w) senders (optionally it <= max_it)."""
-        if not len(senders) or not len(self.jstore):
-            return
-        k = senders[["qid", "w"]].drop_duplicates()
-        m = self.jstore.merge(k.assign(_hit=1), on=["qid", "w"], how="left")
-        mask = m["_hit"].notna()
-        if max_it is not None:
-            mask &= m["it"] <= max_it
-        self.jstore = self.jstore[~mask.to_numpy()].reset_index(drop=True)
+        keys = senders[["qid", "w"]]
+        self.dj.delete_rows(keys if max_it is None else keys.assign(t=np.int64(max_it)))
 
     def _sender_states(self, states: pd.DataFrame) -> pd.DataFrame:
         """Decorate sender states with aux (out-degree) when PR needs it."""
@@ -99,8 +75,11 @@ class VDCEngine(DCJODEngine):
         from their current state trace and the current edges (one Join job)."""
         self._j_delete_sender(senders)
         trace = self.store.rows_for_keys(senders.rename(columns={"w": "v"}))
-        if not len(trace):
-            return
+        if len(trace):
+            self._upsert_trace_messages(trace)
+
+    def _upsert_trace_messages(self, trace: pd.DataFrame) -> None:
+        """Store the messages of a sender state trace, each one iteration later."""
         changed = trace.rename(columns={"v": "w"})[["qid", "w", "val", "it"]]
         raw = fr.raw_messages(
             self.spark, self._edges_sp, self._sender_states(changed), self.spec, carry_it=True
@@ -114,20 +93,13 @@ class VDCEngine(DCJODEngine):
         res = static_ife.run_static(self.spark, self.edges, self.spec, edges_sp=self._edges_sp)
         self.max_it = max(self.max_it, res.n_iters)
         self._store_new_rows(res.trace)
-        changed = res.trace.rename(columns={"v": "w"})[["qid", "w", "val", "it"]]
-        raw = fr.raw_messages(
-            self.spark, self._edges_sp, self._sender_states(changed), self.spec, carry_it=True
-        )
-        if len(raw):
-            raw["it"] = raw["it"] + 1
-            self._j_upsert(raw)
+        self._upsert_trace_messages(res.trace)
 
     def _on_batch_start(self, batch: Batch) -> None:
+        # Every message from a changed edge's source changes (for PR, with
+        # its out-degree), so each such sender's messages are rebuilt.
         qids = np.asarray(self.spec.qids(), np.int64)
         srcs = batch.changes["src"].unique().astype(np.int64)
-        if self.spec.needs_outdeg:
-            # out-degree changed for these sources; their messages all change
-            pass  # (rebuild below already covers every message from them)
         senders = pd.DataFrame(
             {
                 "qid": np.repeat(qids, len(srcs)),
@@ -153,42 +125,25 @@ class VDCEngine(DCJODEngine):
         # Eager-merge hygiene: if the new message equals the sender's message
         # value already in force at iteration i, there is no difference at
         # i+1 — delete any stale row instead of storing a redundant one.
-        prevmsg = self._messages_at(raw[["qid", "v", "w"]], i)
-        cmp = raw.merge(
-            prevmsg.rename(columns={"val": "pval"}), on=["qid", "v", "w"], how="left"
-        )
-        same = cmp["pval"].notna() & (cmp["pval"] == cmp["val"])
-        stale = cmp[same][["qid", "v", "it", "w"]]
-        if len(stale) and len(self.jstore):
-            m = self.jstore.merge(stale.assign(_hit=1), on=["qid", "v", "it", "w"], how="left")
-            self.jstore = self.jstore[m["_hit"].isna().to_numpy()].reset_index(drop=True)
-        self._j_upsert(cmp[~same][_J_COLS])
+        # raw holds one row per (qid, v, w), so the lookup lines up with it.
+        prev = self._messages_at(raw, i)
+        same = (prev["it"].to_numpy() >= 0) & (prev["val"].to_numpy() == raw["val"].to_numpy())
+        self.dj.delete_rows(raw[same])
+        self._j_upsert(raw[~same])
 
     def _messages_at(self, keys: pd.DataFrame, t: int) -> pd.DataFrame:
-        """Reassemble J entries: latest message per (qid, v, w) with it <= t."""
-        if not len(self.jstore) or not len(keys):
-            return pd.DataFrame({"qid": [], "v": [], "w": [], "val": []})
-        k = keys[["qid", "v", "w"]].drop_duplicates()
-        m = self.jstore.merge(k, on=["qid", "v", "w"], how="inner")
-        m = m[m["it"] <= t]
-        if not len(m):
-            return pd.DataFrame({"qid": [], "v": [], "w": [], "val": []})
-        m = m.sort_values("it").groupby(["qid", "v", "w"], as_index=False).last()
-        return m[["qid", "v", "w", "val"]]
+        """Reassemble J entries: latest message per (qid, v, w) with it <= t.
+
+        One row per distinct key, in key order; ``it = -1`` where none."""
+        return self.dj.latest_leq(keys[["qid", "v", "w"]], t)
 
     def _recompute(self, F: pd.DataFrame, i: int) -> pd.DataFrame:
         """Rerun the aggregation reading J from the δJ store (no re-join)."""
         # prev states for the change comparison (store lookup; VDC never drops)
         look = self.store.latest_leq(F, i - 1)
         self._last_states = look[["qid", "v", "val"]]
-        msgs = pd.DataFrame({"qid": [], "v": [], "w": [], "val": []})
-        if len(self.jstore):
-            sub = self.jstore.merge(F[["qid", "v"]].drop_duplicates(), on=["qid", "v"])
-            sub = sub[sub["it"] <= i]
-            if len(sub):
-                msgs = sub.sort_values("it").groupby(
-                    ["qid", "v", "w"], as_index=False
-                ).last()[["qid", "v", "w", "val"]]
+        msgs = self.dj.latest_leq(F[["qid", "v"]], i)
+        msgs = msgs[msgs["it"] >= 0]
         base = static_ife.base_rows(self.spec, F)
         agg = fr.aggregate_msgs(self.spark, msgs, base, self.spec)
         new = F.merge(agg, on=["qid", "v"], how="left")

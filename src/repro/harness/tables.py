@@ -18,7 +18,6 @@ runs on one local session in tens of minutes — see DESIGN.md §6):
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +84,3 @@ def emit(name: str, df: pd.DataFrame) -> pd.DataFrame:
         print(df.to_string(index=False))
         print(f"[written {path}]")
     return df
-
-
-class StopWatch:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *a):
-        self.s = time.perf_counter() - self.t0

@@ -27,6 +27,27 @@ class TestEncodeVT:
         # 16 bits of iteration — far beyond any IFE depth here.
         assert encode_vt(0, 65535) != encode_vt(1, 0)
 
+    def test_largest_legal_fields(self):
+        k = encode_vt(2**32 - 1, 2**16 - 1, qid=2**16 - 1)
+        assert int(k) == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "vertex, iteration, qid",
+        [
+            (2**32, 0, 0),
+            (0, 2**16, 0),
+            (0, 0, 2**16),
+            (-1, 0, 0),
+            (0, -1, 0),
+            (0, 0, -1),
+            (np.array([1, 2**32]), np.array([0, 0]), 0),
+        ],
+        ids=["vertex", "iteration", "qid", "neg-vertex", "neg-iteration", "neg-qid", "array"],
+    )
+    def test_out_of_range_raises(self, vertex, iteration, qid):
+        with pytest.raises(ValueError):
+            encode_vt(vertex, iteration, qid=qid)
+
 
 class TestBloomFilter:
     def test_empty_contains_nothing(self):

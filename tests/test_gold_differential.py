@@ -81,6 +81,15 @@ def _sym_batches(batches):
     return out
 
 
+def _check_batches(spark, eng, spec, batches):
+    """Apply each batch and compare with a static run; returns the last one."""
+    for b in batches:
+        eng.apply_batch(b)
+        exp = run_static(spark, eng.edges, spec).final
+        assert_states_match(eng.final_states(), exp)
+    return exp
+
+
 SYSTEMS = ["vdc", "jod", "det-degree", "det-random", "prob-degree", "prob-random"]
 KINDS = ["sssp", "khop", "wcc", "pr"]
 
@@ -101,11 +110,7 @@ def test_gold(spark, system, kind, delete_prob):
     sysname = system.split("-")[0]
     eng = make_engine(spark, spec, edges, sysname, p=0.5, policy=policy, seed=seed)
     try:
-        for b in batches:
-            eng.apply_batch(b)
-            exp = run_static(spark, eng.edges, spec).final
-            got = eng.final_states()
-            assert_states_match(got, exp)
+        exp = _check_batches(spark, eng, spec, batches)
         if kind == "sssp":
             cap = float(eng.edges["weight"].sum())
             src = spec.sources[0]
@@ -114,6 +119,31 @@ def test_gold(spark, system, kind, delete_prob):
                 SSSP_SQL.format(src=src, cap=cap),
                 edges=_edges_f64(eng.edges),
             )
+    finally:
+        eng.close()
+
+
+# Vertices first seen mid-stream (WCC and PR give every vertex a base
+# value): (spec, initial edges, one batch of inserts).
+NEW_VERTICES = {
+    # 1 joins the component {5, 6}, whose label must drop to 1.
+    "wcc": (specs.wcc_spec(), [(5, 6), (6, 5)], [(1, 5), (5, 1)]),
+    # New sources 1 and 7: static gives 0.15 at 1 and 7 and 1.85 at 5 and 6.
+    "pr": (specs.pr_spec(), [(5, 6), (6, 5)], [(1, 5), (7, 6)]),
+}
+
+
+@pytest.mark.parametrize("system", ["jod", "vdc", "det", "prob"])
+@pytest.mark.parametrize("case", list(NEW_VERTICES))
+def test_gold_new_vertices(spark, system, case):
+    from repro.graphs.updates import Batch
+    from tests.helpers import edge_frame
+
+    spec, initial, inserts = NEW_VERTICES[case]
+    eng = make_engine(spark, spec, edge_frame([(s, d, 1) for s, d in initial]), system)
+    try:
+        batch = Batch(edge_frame([(s, d, 1) for s, d in inserts]).assign(mult=1))
+        _check_batches(spark, eng, spec, [batch])
     finally:
         eng.close()
 
