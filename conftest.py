@@ -66,7 +66,7 @@ def spark() -> SparkSession:
         SparkSession.builder.appName("repro")
         .config(
             "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -8,9 +8,11 @@ are recorded as vertex/timestamp (VT) pairs in ``DroppedVT``:
   12 bytes per dropped VT pair (the d/(d+s) scalability ceiling of §5.1.1).
 * ``structure='prob'`` — a fixed-size Bloom filter over encoded VT keys
   (§5.1.2, Appendix C). No false negatives; false positives cause spurious
-  recomputation only. Membership questions go through the filter — the
-  exact log kept alongside is *test/metric bookkeeping only* and is not
-  consulted for membership nor charged to the memory model.
+  recomputation only. Membership questions go through the filter. An exact
+  log is kept alongside and is not charged to the byte model, but it is
+  live state: :meth:`filter_new_rows` de-duplicates new drops against it
+  (so ``n_dropped`` counts distinct pairs) and :meth:`dropped_keys`, which
+  ``final_states`` reads, lists its keys. It grows with the drops.
 
 The manager also answers the two queries the engine needs during
 ``AccessD_i^vWithDrops`` and upper-bound scheduling: the latest dropped
@@ -50,8 +52,9 @@ class DropManager:
         self.bloom = (
             BloomFilter(bloom_capacity, bloom_fp_rate) if structure == "prob" else None
         )
-        # Exact dropped log. For 'det' this IS DroppedVT; for 'prob' it is
-        # bookkeeping for tests/metrics only (membership uses the bloom).
+        # Exact dropped log. For 'det' this IS DroppedVT; for 'prob',
+        # membership uses the bloom, but new drops are de-duplicated
+        # against this log and dropped_keys() reads it (not byte-modelled).
         self._log = _vt_frame()
         self.n_dropped = 0
         self.n_recomputed = 0

@@ -78,7 +78,6 @@ class DCJODEngine:
         drop_manager: DropManager | None = None,
     ) -> None:
         self.spark = spark
-        fr.tune(spark)
         self.spec = spec
         self.edges = initial_edges.reset_index(drop=True).copy()
         self.store = DiffStore()
@@ -201,17 +200,8 @@ class DCJODEngine:
             # Spark job reads a consistent states-at-(d*-1) snapshot.
             recs = []
             for d_level, grp in targets.groupby("d"):
-                frontier_keys = grp[["qid", "v"]]
                 st = sub_states[sub_states["t"] == d_level - 1]
-                st = st[np.isfinite(st["val"])].rename(columns={"v": "w"})
-                if self.spec.needs_outdeg and len(st):
-                    st = st.assign(aux=st["w"].map(self._outdeg).fillna(1.0))
-                base = static_ife.base_rows(self.spec, frontier_keys)
-                agg = fr.aggregate_at(
-                    self.spark, self._edges_sp, frontier_keys, st, base, self.spec
-                )
-                got = frontier_keys.merge(agg, on=["qid", "v"], how="left")
-                got["val"] = got["val"].fillna(INF)
+                got = self._aggregate(grp[["qid", "v"]], st)
                 got["d"] = np.int64(d_level)
                 recs.append(got)
             rec = pd.concat(recs, ignore_index=True)
@@ -347,14 +337,22 @@ class DCJODEngine:
         ).drop_duplicates()
         states = self._states_for(need, i - 1)
         self._last_states = states  # reused for prev-value lookup
-        st = states[np.isfinite(states["val"])].rename(columns={"v": "w"})
+        return self._aggregate(F, states)
+
+    def _aggregate(self, F: pd.DataFrame, states: pd.DataFrame) -> pd.DataFrame:
+        """One Join+Aggregate for frontier F over (qid, v, val) sender states.
+
+        Non-finite (unreachable) senders send nothing; frontier vertices
+        with no message and no base get +inf."""
+        st = self._with_aux(states[np.isfinite(states["val"])].rename(columns={"v": "w"}))
+        base = static_ife.base_rows(self.spec, F)
+        return _fill_inf(F, fr.aggregate_at(self.spark, self._edges_sp, F, st, base, self.spec))
+
+    def _with_aux(self, st: pd.DataFrame) -> pd.DataFrame:
+        """Add the sender out-degree as aux when messages divide by it (PR)."""
         if self.spec.needs_outdeg and len(st):
             st = st.assign(aux=st["w"].map(self._outdeg).fillna(1.0))
-        base = static_ife.base_rows(self.spec, F)
-        agg = fr.aggregate_at(self.spark, self._edges_sp, F, st, base, self.spec)
-        new = F.merge(agg, on=["qid", "v"], how="left")
-        new["val"] = new["val"].fillna(INF)
-        return new
+        return st
 
     # ------------------------------------------------------------- maintenance
     def apply_batch(self, batch: Batch) -> dict:
@@ -508,6 +506,13 @@ class DCJODEngine:
             "dropped_struct_bytes": dropped,
             "total_bytes": total + dropped,
         }
+
+
+def _fill_inf(F: pd.DataFrame, agg: pd.DataFrame) -> pd.DataFrame:
+    """F's (qid, v) rows with their aggregated val, +inf where agg has none."""
+    new = F.merge(agg, on=["qid", "v"], how="left")
+    new["val"] = new["val"].fillna(INF)
+    return new
 
 
 def _feq(a, b) -> np.ndarray:

@@ -1,25 +1,34 @@
 """The IFE ExpandFrontier operator pair (Fig. 1) as Spark DataFrame jobs.
 
-Each call is one Catalyst job: the Join operator (frontier ⋈ edges ⋈
-neighbour states) followed by the aggregation operator (groupBy + min/sum),
-exactly the dataflow in Fig. 1b. Three entry points:
+One builder, :func:`_join_agg`, makes every plan: the Join operator
+(edges ⋈ sender states, restricted to a receiver frontier when one is
+given) feeding the aggregation operator (groupBy + min/sum), exactly the
+dataflow in Fig. 1b. Rows that need no join (base contributions, or
+messages that are already materialized) are unioned into the aggregation's
+input. Each call is one Catalyst job. Four entry points name its uses:
 
 * :func:`aggregate_at` — recomputation-style: for each frontier vertex v,
   ``D[v] = agg(base(v), { f(state_w, e) : e=(w,v) })``. Used by DC^JOD
   recomputation, by dropped-difference recomputation, and by PageRank.
 * :func:`push_messages` — frontier-style: messages from changed vertices to
   their out-neighbours, pre-aggregated per destination. Used by the static
-  (Scratch) engine and by VDC's δJ maintenance. For min-aggregators the two
-  styles produce identical traces (monotone-relaxation equivalence; see
-  DESIGN.md §5).
+  (Scratch) engine. For min-aggregators the two styles produce identical
+  traces (monotone-relaxation equivalence; see DESIGN.md §5).
+* :func:`raw_messages` — the Join output kept per sender, grouped by
+  (qid, v, w[, it]): VDC's δJ differences.
 * :func:`aggregate_msgs` — aggregation over already-materialized messages
-  (VDC reassembling J from its δJ store).
+  plus base (VDC reassembling J from its δJ store).
 
 All inputs/outputs at this boundary are pandas frames (the driver-side
 arrangement); the join/aggregate work itself is Spark SQL. Broadcast joins
-stay disabled by the session fixture, so the shuffle path is exercised.
+stay disabled by the session, so the shuffle path is exercised. Each
+entry point keeps its own plan shape (join order, join keys, union and
+groupBy keys), so its Spark jobs and output row order stay fixed: the
+drop policies draw one random number per row in that order.
 """
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -29,56 +38,30 @@ from pyspark.sql import types as T
 
 from repro.core.specs import QuerySpec
 
-_STATE_SCHEMA = T.StructType(
-    [
-        T.StructField("qid", T.LongType()),
-        T.StructField("w", T.LongType()),
-        T.StructField("val", T.DoubleType()),
-        T.StructField("aux", T.DoubleType()),
-    ]
-)
-_FRONTIER_SCHEMA = T.StructType(
-    [T.StructField("qid", T.LongType()), T.StructField("v", T.LongType())]
-)
-_MSG_SCHEMA = T.StructType(
-    [
-        T.StructField("qid", T.LongType()),
-        T.StructField("v", T.LongType()),
-        T.StructField("val", T.DoubleType()),
-    ]
-)
-
-EDGE_SPARK_SCHEMA = T.StructType(
-    [
-        T.StructField("src", T.LongType()),
-        T.StructField("dst", T.LongType()),
-        T.StructField("weight", T.DoubleType()),
-    ]
-)
+_LONG_COLS = ("qid", "v", "w", "it", "src", "dst")
 
 
-def tune(spark: SparkSession) -> None:
-    """Size shuffles for the many small iterative jobs this dataflow issues.
+def _frame(spark: SparkSession, df: pd.DataFrame, cols: list[str]) -> DataFrame:
+    """``df[cols]`` as a Spark frame: ids and iterations long, values double."""
+    is_long = [c in _LONG_COLS for c in cols]
+    pdf = pd.DataFrame(
+        {c: df[c].astype(np.int64 if lg else np.float64) for c, lg in zip(cols, is_long)}
+    )
+    schema = T.StructType(
+        [T.StructField(c, T.LongType() if lg else T.DoubleType()) for c, lg in zip(cols, is_long)]
+    )
+    return spark.createDataFrame(pdf, schema=schema)
 
-    The session default (64 partitions) is right for one big scan; an IFE
-    maintenance pass issues hundreds of joins over frames of a few thousand
-    rows, where per-partition scheduling overhead dominates. 8 partitions
-    keeps the shuffle path exercised (broadcast joins stay disabled) without
-    drowning in task latency.
-    """
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
+
+def _empty(cols: list[str]) -> pd.DataFrame:
+    return pd.DataFrame(
+        {c: pd.Series(dtype=np.int64 if c in _LONG_COLS else np.float64) for c in cols}
+    )
 
 
 def edges_to_spark(spark: SparkSession, edges: pd.DataFrame) -> DataFrame:
     """Lift the current graph version's edges into a (persisted) Spark DF."""
-    pdf = pd.DataFrame(
-        {
-            "src": edges["src"].astype(np.int64),
-            "dst": edges["dst"].astype(np.int64),
-            "weight": edges["weight"].astype(np.float64),
-        }
-    )
-    return spark.createDataFrame(pdf, schema=EDGE_SPARK_SCHEMA).persist()
+    return _frame(spark, edges, ["src", "dst", "weight"]).persist()
 
 
 def _message_col(spec: QuerySpec):
@@ -94,24 +77,56 @@ def _message_col(spec: QuerySpec):
     raise ValueError(spec.kind)
 
 
-def _agg_expr(spec: QuerySpec):
-    return F.min("mval") if spec.agg == "min" else F.sum("mval")
+def _join_agg(
+    spark: SparkSession,
+    spec: QuerySpec,
+    keys: tuple[str, ...],
+    *,
+    edges_sp: DataFrame | None = None,
+    senders: pd.DataFrame | None = None,
+    frontier: pd.DataFrame | None = None,
+    local: tuple[pd.DataFrame, ...] = (),
+) -> pd.DataFrame:
+    """agg over ``keys`` of the Join's messages ∪ the ``local`` rows.
 
+    senders:  (qid, w, val[, aux][, it]) — states sending along out-edges
+              (aux = sender out-degree for PR, 1 when absent).
+    frontier: (qid, v) — when given, only these receivers get messages, and
+              an empty frontier gives an empty result.
+    local:    (qid, v, val) frames aggregated as they are (base rows,
+              materialized messages), concatenated into one Spark frame.
+    keys:     (qid, v), or (qid, v, w[, it]) to keep messages per sender.
 
-def _states_df(spark: SparkSession, states: pd.DataFrame) -> DataFrame:
-    pdf = pd.DataFrame(
-        {
-            "qid": states["qid"].astype(np.int64),
-            "w": states["w"].astype(np.int64),
-            "val": states["val"].astype(np.float64),
-            "aux": (
-                states["aux"].astype(np.float64)
-                if "aux" in states.columns
-                else np.ones(len(states))
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf, schema=_STATE_SCHEMA)
+    Returns ``keys`` + val; keys with no input rows are absent.
+    """
+    out_cols = [*keys, "val"]
+    if frontier is not None and not len(frontier):
+        return _empty(out_cols)
+    parts = []
+    if senders is not None and len(senders):
+        if "aux" not in senders.columns:
+            senders = senders.assign(aux=1.0)
+        st = _frame(spark, senders, ["qid", "w", "val", "aux", *keys[3:]])
+        e = edges_sp
+        if frontier is None:
+            joined = e.join(st, on=e["src"] == st["w"], how="inner")
+            col = {"qid": st["qid"], "v": e["dst"]}
+        else:
+            fq = _frame(spark, frontier, ["qid", "v"])
+            joined = e.join(fq, on=e["dst"] == fq["v"], how="inner").join(
+                st, on=(e["src"] == st["w"]) & (fq["qid"] == st["qid"]), how="inner"
+            )
+            col = {"qid": fq["qid"], "v": fq["v"]}
+        sel = [(col[k] if k in col else st[k]).alias(k) for k in keys]
+        parts.append(joined.select(*sel, _message_col(spec).alias("mval")))
+    local = [f[out_cols] for f in local if len(f)]
+    if local:
+        rows = _frame(spark, pd.concat(local, ignore_index=True), out_cols)
+        parts.append(rows.select(*keys, F.col("val").alias("mval")))
+    if not parts:
+        return _empty(out_cols)
+    agg = F.min("mval") if spec.agg == "min" else F.sum("mval")
+    return reduce(DataFrame.unionByName, parts).groupBy(*keys).agg(agg.alias("val")).toPandas()
 
 
 def aggregate_at(
@@ -132,42 +147,9 @@ def aggregate_at(
     Returns (qid, v, val). Frontier vertices with no messages and no base
     are absent (= unreachable / +inf to the caller).
     """
-    if not len(frontier):
-        return pd.DataFrame({"qid": [], "v": [], "val": []})
-    fr = spark.createDataFrame(
-        pd.DataFrame(
-            {"qid": frontier["qid"].astype(np.int64), "v": frontier["v"].astype(np.int64)}
-        ),
-        schema=_FRONTIER_SCHEMA,
+    return _join_agg(
+        spark, spec, ("qid", "v"), edges_sp=edges_sp, senders=states, frontier=frontier, local=(base,)
     )
-    parts = []
-    if len(states):
-        st = _states_df(spark, states)
-        msgs = (
-            edges_sp.join(fr, on=edges_sp["dst"] == fr["v"], how="inner")
-            .join(st, on=(edges_sp["src"] == st["w"]) & (fr["qid"] == st["qid"]), how="inner")
-            .select(fr["qid"].alias("qid"), fr["v"].alias("v"), _message_col(spec).alias("mval"))
-        )
-        parts.append(msgs)
-    if len(base):
-        bs = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "qid": base["qid"].astype(np.int64),
-                    "v": base["v"].astype(np.int64),
-                    "val": base["val"].astype(np.float64),
-                }
-            ),
-            schema=_MSG_SCHEMA,
-        ).select("qid", "v", F.col("val").alias("mval"))
-        parts.append(bs)
-    if not parts:
-        return pd.DataFrame({"qid": [], "v": [], "val": []})
-    allm = parts[0]
-    for p in parts[1:]:
-        allm = allm.unionByName(p)
-    out = allm.groupBy("qid", "v").agg(_agg_expr(spec).alias("val"))
-    return out.toPandas()
 
 
 def push_messages(
@@ -181,14 +163,7 @@ def push_messages(
     changed: (qid, w, val[, aux]) — the frontier's new states.
     Returns (qid, v, val): per-destination aggregated incoming messages.
     """
-    if not len(changed):
-        return pd.DataFrame({"qid": [], "v": [], "val": []})
-    st = _states_df(spark, changed)
-    msgs = edges_sp.join(st, on=edges_sp["src"] == st["w"], how="inner").select(
-        st["qid"].alias("qid"), edges_sp["dst"].alias("v"), _message_col(spec).alias("mval")
-    )
-    out = msgs.groupBy("qid", "v").agg(_agg_expr(spec).alias("val"))
-    return out.toPandas()
+    return _join_agg(spark, spec, ("qid", "v"), edges_sp=edges_sp, senders=changed)
 
 
 def raw_messages(
@@ -199,49 +174,15 @@ def raw_messages(
     *,
     carry_it: bool = False,
 ) -> pd.DataFrame:
-    """Un-aggregated Join output: one message row per (changed w, out-edge).
+    """The Join output per (changed w, receiver v): VDC's δJ differences.
 
-    VDC materializes these as its δJ difference store — precisely the
-    collection the JOD optimization drops. Returns (qid, v, w, val), plus
-    the sender's ``it`` column when ``carry_it`` (for bulk δJ builds).
+    Parallel edges from the same sender combine under the aggregator
+    (min/sum are associative), so the δJ trace stays keyed by sender.
+    Returns (qid, v, w, val), plus the sender's ``it`` column (before val)
+    when ``carry_it`` (for bulk δJ builds).
     """
-    cols = {"qid": [], "v": [], "w": [], "val": []}
-    if carry_it:
-        cols["it"] = []
-    if not len(changed):
-        return pd.DataFrame(cols)
-    schema = _STATE_SCHEMA
-    pdf = pd.DataFrame(
-        {
-            "qid": changed["qid"].astype(np.int64),
-            "w": changed["w"].astype(np.int64),
-            "val": changed["val"].astype(np.float64),
-            "aux": (
-                changed["aux"].astype(np.float64)
-                if "aux" in changed.columns
-                else np.ones(len(changed))
-            ),
-        }
-    )
-    if carry_it:
-        pdf["it"] = changed["it"].astype(np.int64)
-        schema = T.StructType(list(_STATE_SCHEMA.fields) + [T.StructField("it", T.LongType())])
-    st = spark.createDataFrame(pdf, schema=schema)
-    sel = [
-        st["qid"].alias("qid"),
-        edges_sp["dst"].alias("v"),
-        st["w"].alias("w"),
-        _message_col(spec).alias("val"),
-    ]
-    if carry_it:
-        sel.append(st["it"].alias("it"))
-    msgs = edges_sp.join(st, on=edges_sp["src"] == st["w"], how="inner").select(*sel)
-    # Parallel edges from the same sender combine under the aggregator
-    # (min/sum are associative), so the δJ trace stays keyed by sender.
-    keys = ["qid", "v", "w"] + (["it"] if carry_it else [])
-    agg = F.min("val") if spec.agg == "min" else F.sum("val")
-    msgs = msgs.groupBy(*keys).agg(agg.alias("val"))
-    return msgs.toPandas()
+    keys = ("qid", "v", "w", "it") if carry_it else ("qid", "v", "w")
+    return _join_agg(spark, spec, keys, edges_sp=edges_sp, senders=changed)
 
 
 def aggregate_msgs(
@@ -251,22 +192,4 @@ def aggregate_msgs(
     spec: QuerySpec,
 ) -> pd.DataFrame:
     """Aggregate pre-materialized messages (VDC's reassembled J) plus base."""
-    frames = []
-    for f in (msgs, base):
-        if len(f):
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "qid": f["qid"].astype(np.int64),
-                        "v": f["v"].astype(np.int64),
-                        "val": f["val"].astype(np.float64),
-                    }
-                )
-            )
-    if not frames:
-        return pd.DataFrame({"qid": [], "v": [], "val": []})
-    allm = spark.createDataFrame(pd.concat(frames, ignore_index=True), schema=_MSG_SCHEMA)
-    out = allm.select("qid", "v", F.col("val").alias("mval")).groupBy("qid", "v").agg(
-        _agg_expr(spec).alias("val")
-    )
-    return out.toPandas()
+    return _join_agg(spark, spec, ("qid", "v"), local=(msgs, base))

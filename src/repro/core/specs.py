@@ -58,6 +58,8 @@ class QuerySpec:
             raise ValueError("khop requires max_iters=K")
         if self.kind == "pr" and self.max_iters is None:
             object.__setattr__(self, "max_iters", 10)
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
     @property
     def agg(self) -> str:

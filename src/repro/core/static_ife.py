@@ -88,7 +88,6 @@ def run_static(
     """Run the static IFE to its stop condition; record the change trace."""
     own_edges = edges_sp is None
     if own_edges:
-        fr.tune(spark)
         edges_sp = fr.edges_to_spark(spark, edges)
     try:
         if spec.kind == "pr":
@@ -149,7 +148,7 @@ def _run_pr(spark, edges, edges_sp, spec) -> StaticResult:
         new = fr.aggregate_at(spark, edges_sp, all_keys, states, bases, spec)
         new = all_keys.merge(new, on=["qid", "v"], how="left")
         # Vertices with no in-messages keep only their base contribution.
-        new["val"] = new["val"].fillna(0.15 if spec.kind == "pr" else np.nan)
+        new["val"] = new["val"].fillna(0.15)
         old = cur.rename(columns={"val": "val_old"})
         cmp = new.merge(old, on=["qid", "v"], how="left")
         ch = cmp[_round(cmp["val"]) != _round(cmp["val_old"])][["qid", "v", "val"]]

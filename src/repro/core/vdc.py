@@ -32,8 +32,7 @@ import pandas as pd
 
 from repro.core import frontier as fr
 from repro.core import static_ife
-from repro.core.engine import DCJODEngine
-from repro.core.specs import INF
+from repro.core.engine import DCJODEngine, _fill_inf
 from repro.core.store import DiffStore
 from repro.graphs.updates import Batch
 
@@ -65,10 +64,7 @@ class VDCEngine(DCJODEngine):
 
     def _sender_states(self, states: pd.DataFrame) -> pd.DataFrame:
         """Decorate sender states with aux (out-degree) when PR needs it."""
-        st = states.copy()
-        if self.spec.needs_outdeg and len(st):
-            st["aux"] = st["w"].map(self._outdeg).fillna(1.0)
-        return st
+        return self._with_aux(states)
 
     def _rebuild_sender_messages(self, senders: pd.DataFrame) -> None:
         """Recompute the full out-message trace of the given (qid, w) senders
@@ -145,7 +141,4 @@ class VDCEngine(DCJODEngine):
         msgs = self.dj.latest_leq(F[["qid", "v"]], i)
         msgs = msgs[msgs["it"] >= 0]
         base = static_ife.base_rows(self.spec, F)
-        agg = fr.aggregate_msgs(self.spark, msgs, base, self.spec)
-        new = F.merge(agg, on=["qid", "v"], how="left")
-        new["val"] = new["val"].fillna(INF)
-        return new
+        return _fill_inf(F, fr.aggregate_msgs(self.spark, msgs, base, self.spec))

@@ -80,7 +80,6 @@ def run_config(
     seed: int = 0,
 ) -> dict:
     """Run the workload under one system; collect the paper's metrics."""
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
     batches = wl.batches if max_batches is None else wl.batches[: max_batches]
     out: dict = {
         "workload": wl.name,

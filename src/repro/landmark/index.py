@@ -141,7 +141,6 @@ def run_landmark_experiment(
     n_landmarks: int = 10,
 ) -> LandmarkResult:
     """Scratch vs Scratch-Landmark on the same SPSP workload (Fig. 9)."""
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
     n_vertices = int(max(edges["src"].max(), edges["dst"].max())) + 1
     spec = sssp_spec(sources, targets=targets)
 

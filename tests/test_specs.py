@@ -33,6 +33,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             specs.QuerySpec(kind="sssp")
 
+    @pytest.mark.parametrize(
+        "make", [lambda: specs.pr_spec(iters=0), lambda: specs.khop_spec({0: 1}, k=0)],
+        ids=["pr-0-iters", "khop-k-0"],
+    )
+    def test_zero_iterations_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             specs.QuerySpec(kind="bfs", sources={0: 1})
